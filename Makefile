@@ -61,9 +61,11 @@ race:
 # and the race detector.
 verify: lint build check-noalloc vuln race
 
-# Exercise the binaries end-to-end at smoke scale (what CI runs).
+# Exercise the binaries end-to-end at smoke scale (what CI runs): the
+# single-core MBPTA tables and the multicore shared-bus study.
 smoke:
 	$(GO) run ./cmd/paperbench -exp table2 -short -timeout 10m
+	$(GO) run ./cmd/paperbench -exp multicore -short -timeout 10m
 
 # Security-evaluation smoke: all three attacker protocols swept over every
 # placement x replacement design point at smoke scale.

@@ -7,10 +7,11 @@
 //
 // The example sweeps hardware seeds for one benchmark alone and against
 // three memory-hungry co-runners, showing the contention slowdown that
-// the partitioned L2 bounds. The sweep fans out over a worker pool with
-// randmod.ShardRunsContext -- the Engine-era primitive for custom
-// execution contexts (here a 4-core sim.System instead of a single
-// core) -- and Ctrl-C cancels it mid-sweep.
+// the partitioned L2 bounds. Both traces are compiled once and replayed by
+// the compiled bus model (sim.System.RunAll). The sweep fans out over a
+// worker pool with core.ShardChunksPool -- the sharding primitive the
+// Engine itself runs on, here driving a 4-core sim.System per worker
+// instead of a single core -- and Ctrl-C cancels it between chunks.
 package main
 
 import (
@@ -20,8 +21,7 @@ import (
 	"os"
 	"os/signal"
 
-	"repro"
-	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/placement"
 	"repro/internal/prng"
 	"repro/internal/sim"
@@ -29,20 +29,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-func platform() sim.Config {
-	mk := func(name string, size int, pk placement.Kind, w cache.WritePolicy) cache.Config {
-		return cache.Config{
-			Name: name, SizeBytes: size, Ways: 4, LineBytes: 32,
-			Placement: pk, Replacement: cache.Random, Write: w,
-		}
-	}
-	return sim.Config{
-		IL1: mk("IL1", 16*1024, placement.RM, cache.WriteThrough),
-		DL1: mk("DL1", 16*1024, placement.RM, cache.WriteThrough),
-		L2:  mk("L2", 128*1024, placement.HRP, cache.WriteBack),
-	}
-}
 
 func main() {
 	const seeds = 25
@@ -52,8 +38,16 @@ func main() {
 	}
 	hog := workload.Synthetic(160*1024, 8, 4) // streams through memory
 	layout := workload.DefaultLayout()
-	subjectTrace := subject.Build(layout)
-	hogTrace := hog.Build(layout)
+	spec := core.PaperPlatform(placement.RM)
+	subjectTrace, err := trace.Compile(subject.Build(layout), spec.LineBytes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	hogTrace, err := trace.Compile(hog.Build(layout), spec.LineBytes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pool := core.NewPool(0) // GOMAXPROCS workers
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -62,13 +56,15 @@ func main() {
 	// seeds; each worker owns a private 4-core system, and every run
 	// derives its seed from the run index, so the vector is bit-identical
 	// for any pool size.
-	sweep := func(traces []trace.Trace) []float64 {
+	sweep := func(traces []*trace.Compiled) []float64 {
 		times := make([]float64, seeds)
-		err := randmod.ShardRunsContext(ctx, 0, seeds,
-			func() (*sim.System, error) { return sim.NewSystem(platform(), 4) },
-			func(sys *sim.System, run int) error {
-				sys.Reseed(prng.Derive(1, run))
-				times[run] = float64(sys.RunAll(traces)[0].Cycles)
+		err := core.ShardChunksPool(ctx, pool, seeds,
+			func() (*sim.System, error) { return sim.NewSystem(spec.Config(), len(traces)) },
+			func(sys *sim.System, lo, hi int) error {
+				for run := lo; run < hi; run++ {
+					sys.Reseed(prng.Derive(1, run))
+					times[run] = float64(sys.RunAll(traces)[0].Cycles)
+				}
 				return nil
 			})
 		if err != nil {
@@ -77,11 +73,11 @@ func main() {
 		return times
 	}
 
-	solo := sweep([]trace.Trace{subjectTrace, nil, nil, nil})
-	contended := sweep([]trace.Trace{subjectTrace, hogTrace, hogTrace, hogTrace})
+	solo := sweep([]*trace.Compiled{subjectTrace, nil, nil, nil})
+	contended := sweep([]*trace.Compiled{subjectTrace, hogTrace, hogTrace, hogTrace})
 
 	fmt.Printf("subject workload: %s (%d accesses), %d hardware seeds\n",
-		subject.Name, len(subjectTrace), seeds)
+		subject.Name, subjectTrace.Len(), seeds)
 	fmt.Printf("co-runners:       3x synthetic 160KB streamers\n\n")
 	fmt.Printf("solo      mean %10.0f  max %10.0f cycles\n", stats.Mean(solo), stats.Max(solo))
 	fmt.Printf("contended mean %10.0f  max %10.0f cycles  (+%.1f%% from shared-bus interference)\n",

@@ -22,12 +22,12 @@ func TestDiagnosticSynthetic20KB(t *testing.T) {
 
 	runPolicy := func(kind placement.Kind) CampaignResult {
 		start := time.Now()
-		res, err := Campaign{
+		res, err := runCampaign(0, Request{
 			Spec:       PaperPlatform(kind),
 			Workload:   w,
 			Runs:       runs,
 			MasterSeed: 42,
-		}.Run()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestDiagnosticSynthetic20KB(t *testing.T) {
 		t.Logf("%s: min=%.0f mean=%.0f max=%.0f sd=%.0f  IL1=%.4f DL1=%.4f L2=%.4f",
 			kind, stats.Min(res.Times), res.Mean(), res.HWM(), stats.StdDev(res.Times),
 			res.IL1Miss, res.DL1Miss, res.L2Miss)
-		return res
+		return res.CampaignResult
 	}
 
 	rm := runPolicy(placement.RM)
@@ -80,11 +80,11 @@ func TestDiagnosticAveragePerformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := Campaign{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 50, MasterSeed: 7}.Run()
+	rm, err := runCampaign(0, Request{Spec: PaperPlatform(placement.RM), Workload: w, Runs: 50, MasterSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := Campaign{Spec: DeterministicPlatform(), Workload: w, Runs: 3, MasterSeed: 7}.Run()
+	det, err := runCampaign(0, Request{Spec: DeterministicPlatform(), Workload: w, Runs: 3, MasterSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

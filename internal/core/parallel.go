@@ -52,7 +52,7 @@ func normWorkers(workers, runs int) int {
 }
 
 // Pool is a shared allotment of simulation worker slots. Any number of
-// campaigns (and custom ShardRunsPool sweeps) can execute over one Pool
+// campaigns (and custom ShardChunksPool sweeps) can execute over one Pool
 // concurrently; the Pool caps how many simulation goroutines run at once
 // without influencing any campaign's results.
 type Pool struct {
@@ -101,46 +101,6 @@ func (p *Pool) acquire(ctx context.Context) error {
 func (p *Pool) release() {
 	p.busy.Add(-1)
 	<-p.slots
-}
-
-// ShardRuns executes runs [0, runs) across a pool of workers. Each worker
-// calls build once to obtain its private execution context (simulators are
-// not safe for concurrent use) and then processes a contiguous block of
-// run indices; do must derive all randomness from the run index alone and
-// write any per-run output into run-indexed slots, which makes results
-// bit-identical for any worker count. Non-positive workers selects
-// runtime.GOMAXPROCS(0). The error of the lowest-numbered failing shard is
-// returned. Exposed for drivers whose execution context is not a single
-// sim.Core (e.g. the multicore contention study's sim.System).
-func ShardRuns[T any](workers, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	//rm:ctxroot compatibility wrapper; callers that can cancel use ShardRunsContext
-	return ShardRunsContext(context.Background(), workers, runs, build, do)
-}
-
-// ShardRunsContext is the context-aware ShardRuns: cancelling ctx aborts
-// the sweep between runs (and while waiting for pool slots) and returns
-// ctx.Err(). Runs that completed before the cancellation have written
-// their run-indexed outputs; the rest are untouched.
-func ShardRunsContext[T any](ctx context.Context, workers, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	return ShardRunsPool(ctx, NewPool(workers), runs, build, do)
-}
-
-// ShardRunsPool runs the sweep over a caller-supplied (possibly shared)
-// Pool, with the same determinism and cancellation contract as
-// ShardRunsContext: results depend only on run indices, never on the pool
-// size or on what else is executing over the pool.
-func ShardRunsPool[T any](ctx context.Context, pool *Pool, runs int, build func() (T, error), do func(ctx T, run int) error) error {
-	return ShardChunksPool(ctx, pool, runs, build, func(ctxT T, lo, hi int) error {
-		for run := lo; run < hi; run++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := do(ctxT, run); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // chunkSize picks the claim granularity of a chunked sweep: a handful of

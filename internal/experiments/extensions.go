@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/evt"
 	"repro/internal/placement"
@@ -41,10 +40,11 @@ type MulticoreResult struct {
 
 // Multicore runs the subject benchmark solo and against three streaming
 // co-runners on the 4-core shared-bus platform, with RM L1 caches,
-// collecting runs-many seeds for both configurations. The seed sweeps
-// execute over the engine's shared pool via core.ShardRunsPool -- the
-// extension point for drivers whose execution context is not a single
-// sim.Core.
+// collecting runs-many seeds for both configurations. The subject and the
+// co-runner traces are compiled once per study and replayed by the
+// compiled bus model (sim.System.RunAll); the seed sweeps execute over
+// the engine's shared pool via core.ShardChunksPool, each worker owning
+// one sim.System.
 func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName string) (MulticoreResult, error) {
 	res := MulticoreResult{Subject: subjectName}
 	subject, err := workload.ByName(subjectName)
@@ -53,46 +53,43 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 	}
 	hog := workload.Synthetic(160*1024, 4, 4)
 	layout := workload.DefaultLayout()
-	subjectTrace := subject.Build(layout)
-	hogTrace := hog.Build(layout)
-
 	spec := core.PaperPlatform(placement.RM)
-	mkSystem := func() (*sim.System, error) {
-		return sim.NewSystem(sim.Config{
-			IL1: cacheCfg("IL1", spec, spec.IL1, false),
-			DL1: cacheCfg("DL1", spec, spec.DL1, false),
-			L2:  cacheCfg("L2", spec, spec.L2, true),
-			Lat: spec.Lat,
-		}, 4)
+	subjectCT, err := trace.Compile(subject.Build(layout), spec.LineBytes)
+	if err != nil {
+		return res, err
 	}
+	hogCT, err := trace.Compile(hog.Build(layout), spec.LineBytes)
+	if err != nil {
+		return res, err
+	}
+	cfg := spec.Config()
 
 	runs := s.Runs / 4
 	if runs < 40 {
 		runs = 40
 	}
-	collect := func(withHogs bool) ([]float64, error) {
+	collect := func(cts []*trace.Compiled) ([]float64, error) {
 		times := make([]float64, runs)
-		err := core.ShardRunsPool(ctx, eng.Pool(), runs, mkSystem, func(sys *sim.System, r int) error {
-			sys.Reseed(prng.Derive(MasterSeed, r))
-			traces := []trace.Trace{subjectTrace, nil, nil, nil}
-			if withHogs {
-				traces = []trace.Trace{subjectTrace, hogTrace, hogTrace, hogTrace}
-			}
-			out := sys.RunAll(traces)
-			times[r] = float64(out[0].Cycles)
-			return nil
-		})
+		err := core.ShardChunksPool(ctx, eng.Pool(), runs,
+			func() (*sim.System, error) { return sim.NewSystem(cfg, len(cts)) },
+			func(sys *sim.System, lo, hi int) error {
+				for r := lo; r < hi; r++ {
+					sys.Reseed(prng.Derive(MasterSeed, r))
+					times[r] = float64(sys.RunAll(cts)[0].Cycles)
+				}
+				return nil
+			})
 		if err != nil {
 			return nil, err
 		}
 		return times, nil
 	}
 
-	solo, err := collect(false)
+	solo, err := collect([]*trace.Compiled{subjectCT, nil, nil, nil})
 	if err != nil {
 		return res, err
 	}
-	cont, err := collect(true)
+	cont, err := collect([]*trace.Compiled{subjectCT, hogCT, hogCT, hogCT})
 	if err != nil {
 		return res, err
 	}
@@ -109,23 +106,6 @@ func Multicore(ctx context.Context, eng *core.Engine, s Scale, subjectName strin
 		res.IIDPassCont = an.IIDPass
 	}
 	return res, nil
-}
-
-// cacheCfg translates a core.CacheSetup into a cache.Config for the
-// multicore system builder.
-func cacheCfg(name string, spec core.PlatformSpec, cs core.CacheSetup, isL2 bool) cache.Config {
-	size := spec.L1SizeBytes
-	ways := spec.L1Ways
-	write := cache.WriteThrough
-	if isL2 {
-		size = spec.L2SizeBytes
-		ways = spec.L2Ways
-		write = cache.WriteBack
-	}
-	return cache.Config{
-		Name: name, SizeBytes: size, Ways: ways, LineBytes: spec.LineBytes,
-		Placement: cs.Placement, Replacement: cs.Replacement, Write: write,
-	}
 }
 
 // Render formats the contention study.

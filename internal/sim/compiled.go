@@ -36,11 +36,11 @@ func planSlot(buf []uint32, n int) []uint32 {
 	return buf[:n]
 }
 
-// SupportsCompiled reports whether compiled traces of the given line size
-// can replay on this core: RunCompiled bypasses each level's LineAddr, so
-// every level must share the compiled line size. Platforms built from a
-// single sim.Config always do.
-func (c *Core) SupportsCompiled(lineBytes int) bool {
+// supportsCompiled reports whether compiled traces of the given line size
+// can replay on this core: the compiled replay bypasses each level's
+// LineAddr, so every level must share the compiled line size. Platforms
+// built from a single sim.Config always do.
+func (c *Core) supportsCompiled(lineBytes int) bool {
 	return c.il1.Config().LineBytes == lineBytes &&
 		c.dl1.Config().LineBytes == lineBytes &&
 		c.l2.Config().LineBytes == lineBytes
@@ -71,6 +71,55 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 	c.plan.builtFor = ct
 }
 
+// beginCompiled starts a compiled replay of ct on this core: it checks
+// the line size, refreshes the index plans and opens a run on every
+// level's kernel. The matching endCompiled returns the per-call Stats.
+func (c *Core) beginCompiled(ct *trace.Compiled) {
+	if !c.supportsCompiled(ct.LineBytes) {
+		badLineSize(ct.LineBytes)
+	}
+	c.preparePlans(ct)
+	c.kil1.Begin()
+	c.kdl1.Begin()
+	c.kl2.Begin()
+}
+
+// endCompiled closes the kernels' run and returns its per-level Stats.
+func (c *Core) endCompiled() (il1, dl1, l2 cache.Stats) {
+	return c.kil1.End(), c.kdl1.End(), c.kl2.End()
+}
+
+// step replays one compiled access through the L1 and L2 kernels: the
+// single L1->L2 sequencing that RunCompiled and the multicore bus model
+// (System.RunAll) share. local is the core-local cycle charge (the L1
+// charge, plus the store bus or the L2 lookup). l2 is the L2 outcome,
+// zero when the L1 served the access. The caller charges the memory
+// side: a memory transaction iff l2&BitFilled (read misses always fill;
+// a store fills only where the L2 allocates on write) and a writeback
+// iff l2&BitWriteback.
+//
+//rm:hotpath
+func (c *Core) step(ct *trace.Compiled, op trace.Op) (local uint64, l2 cache.AccessBits) {
+	switch op.Kind {
+	case trace.Fetch:
+		la := ct.ILines[op.ID]
+		if c.kil1.Read(la, c.plan.il1[op.ID])&cache.BitHit != 0 {
+			return c.lat.L1Hit, 0
+		}
+		return c.lat.L1Hit + c.lat.L2Hit, c.kl2.Read(la, c.plan.l2i[op.ID])
+	case trace.Load:
+		la := ct.DLines[op.ID]
+		if c.kdl1.Read(la, c.plan.dl1[op.ID])&cache.BitHit != 0 {
+			return c.lat.L1Hit, 0
+		}
+		return c.lat.L1Hit + c.lat.L2Hit, c.kl2.Read(la, c.plan.l2d[op.ID])
+	default: // Store
+		la := ct.DLines[op.ID]
+		c.kdl1.Write(la, c.plan.dl1[op.ID]) // write-through: updates line if present
+		return c.lat.L1Hit + c.lat.StoreBus, c.kl2.Write(la, c.plan.l2d[op.ID])
+	}
+}
+
 // RunCompiled executes a compiled trace to completion: identical cache
 // state transitions, cycle counts, per-level statistics and
 // replacement-RNG draws as Run on the source trace — the legacy Run stays
@@ -88,79 +137,35 @@ func (c *Core) preparePlans(ct *trace.Compiled) {
 // cores) while only the seeds change.
 //
 // RunCompiled panics if the compiled line size does not match every
-// level (see SupportsCompiled).
+// level.
 //
 //rm:hotpath
 func (c *Core) RunCompiled(ct *trace.Compiled) Result {
-	if !c.SupportsCompiled(ct.LineBytes) {
-		badLineSize(ct.LineBytes)
-	}
-	c.preparePlans(ct)
-
-	k1, kd, k2 := c.kil1, c.kdl1, c.kl2
-	k1.Begin()
-	kd.Begin()
-	k2.Begin()
-	il1Plan, dl1Plan, l2iPlan, l2dPlan := c.plan.il1, c.plan.dl1, c.plan.l2i, c.plan.l2d
+	c.beginCompiled(ct)
 	var cycles uint64
 	lat := c.lat
 	for _, op := range ct.Ops {
-		switch op.Kind {
-		case trace.Fetch:
-			cycles += lat.L1Hit
-			la := ct.ILines[op.ID]
-			if k1.Read(la, il1Plan[op.ID])&cache.BitHit == 0 {
-				cycles += lat.L2Hit
-				b := k2.Read(la, l2iPlan[op.ID])
-				if b&cache.BitHit == 0 {
-					cycles += lat.Memory
-				}
-				if b&cache.BitWriteback != 0 {
-					cycles += lat.Writeback
-				}
-			}
-		case trace.Load:
-			cycles += lat.L1Hit
-			la := ct.DLines[op.ID]
-			if kd.Read(la, dl1Plan[op.ID])&cache.BitHit == 0 {
-				cycles += lat.L2Hit
-				b := k2.Read(la, l2dPlan[op.ID])
-				if b&cache.BitHit == 0 {
-					cycles += lat.Memory
-				}
-				if b&cache.BitWriteback != 0 {
-					cycles += lat.Writeback
-				}
-			}
-		default: // Store
-			cycles += lat.L1Hit + lat.StoreBus
-			la := ct.DLines[op.ID]
-			kd.Write(la, dl1Plan[op.ID]) // write-through: updates line if present
-			b := k2.Write(la, l2dPlan[op.ID])
-			if b&cache.BitFilled != 0 {
-				cycles += lat.Memory // write-allocate fill
-			}
-			if b&cache.BitWriteback != 0 {
-				cycles += lat.Writeback
-			}
+		local, l2 := c.step(ct, op)
+		cycles += local
+		if l2&cache.BitFilled != 0 {
+			cycles += lat.Memory
+		}
+		if l2&cache.BitWriteback != 0 {
+			cycles += lat.Writeback
 		}
 	}
-	return Result{
-		Cycles:   cycles,
-		Accesses: len(ct.Ops),
-		IL1:      k1.End(),
-		DL1:      kd.End(),
-		L2:       k2.End(),
-	}
+	r := Result{Cycles: cycles, Accesses: len(ct.Ops)}
+	r.IL1, r.DL1, r.L2 = c.endCompiled()
+	return r
 }
 
-// badLineSize is RunCompiled's cold panic helper: formatting stays off
-// the annotated hot path so the escape-analysis gate
+// badLineSize is the compiled replay's cold panic helper: formatting
+// stays off the annotated hot path so the escape-analysis gate
 // (scripts/check-noalloc.sh) sees no heap traffic in its span. noinline
 // keeps the compiler from folding the Sprintf escape back into the
 // caller's span.
 //
 //go:noinline
 func badLineSize(lineBytes int) {
-	panic(fmt.Sprintf("sim: RunCompiled: compiled line size %dB does not match all cache levels", lineBytes))
+	panic(fmt.Sprintf("sim: compiled line size %dB does not match all cache levels", lineBytes))
 }

@@ -196,8 +196,8 @@ func TestRunCompiledRejectsLineSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.SupportsCompiled(32) || c.SupportsCompiled(64) {
-		t.Fatal("SupportsCompiled wrong for the paper platform (32B lines)")
+	if !c.supportsCompiled(32) || c.supportsCompiled(64) {
+		t.Fatal("supportsCompiled wrong for the paper platform (32B lines)")
 	}
 	ct, err := trace.Compile(mixedTrace(1, 10), 64)
 	if err != nil {

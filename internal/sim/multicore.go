@@ -54,34 +54,33 @@ func (s *System) Reseed(runSeed uint64) {
 	}
 }
 
-// RunAll executes one trace per core concurrently under the shared-bus
-// model and returns per-core results. Cores with a nil trace idle. As
-// with Core.Run, each Result reports this call only: per-level counters
-// are diffed against snapshots taken on entry, so repeated RunAll calls
-// (or interleaved Core.Run calls) never double-count.
+// RunAll executes one compiled trace per core concurrently under the
+// shared-bus model and returns per-core results. Cores with a nil trace
+// idle. As with RunCompiled, each Result reports this call only: the
+// per-level counters come from the kernels' Begin/End window.
 //
-// The model is event-driven: each core retires accesses in order; accesses
-// that need a memory transaction (L2 miss or L2 writeback) must win the
-// bus, which serves one transaction at a time. Arbitration is round-robin:
-// among cores whose request is pending when the bus frees, the one
-// following the last grantee wins. This is a time-composable bus in the
-// sense of the MBPTA multicore designs the paper cites.
-func (s *System) RunAll(traces []trace.Trace) []Result {
+// The model is event-driven: each core retires accesses in order through
+// the same step as RunCompiled; accesses that need a memory transaction
+// (an L2 fill or an L2 writeback) must win the bus, which serves one
+// transaction at a time. Arbitration is round-robin: among cores whose
+// request is pending when the bus frees, the one following the last
+// grantee wins. This is a time-composable bus in the sense of the MBPTA
+// multicore designs the paper cites.
+//
+// RunAll panics unless there is one slot per core, and if a compiled
+// line size does not match every cache level.
+func (s *System) RunAll(cts []*trace.Compiled) []Result {
 	n := len(s.cores)
-	if len(traces) != n {
+	if len(cts) != n {
 		panic("sim: RunAll needs one trace per core")
 	}
 	results := make([]Result, n)
 	clocks := make([]uint64, n) // core-local completion time
 	pos := make([]int, n)       // next access index per core
-	// Per-call counters are diffs against these snapshots, matching
-	// Core.Run: a second RunAll on the same System (or a prior Core.Run)
-	// must not leak its accesses/misses into this call's Results.
-	type levelSnap struct{ il1, dl1, l2 cache.Stats }
-	before := make([]levelSnap, n)
 	for i, c := range s.cores {
-		il1, dl1, l2 := c.Caches()
-		before[i] = levelSnap{il1.Stats(), dl1.Stats(), l2.Stats()}
+		if cts[i] != nil {
+			c.beginCompiled(cts[i])
+		}
 	}
 	var busFreeAt uint64
 	lastGrant := n - 1
@@ -93,7 +92,7 @@ func (s *System) RunAll(traces []trace.Trace) []Result {
 		sel := -1
 		for off := 1; off <= n; off++ {
 			i := (lastGrant + off) % n
-			if traces[i] == nil || pos[i] >= len(traces[i]) {
+			if cts[i] == nil || pos[i] >= len(cts[i].Ops) {
 				continue
 			}
 			if sel == -1 || clocks[i] < clocks[sel] {
@@ -103,18 +102,20 @@ func (s *System) RunAll(traces []trace.Trace) []Result {
 		if sel == -1 {
 			break
 		}
-		c := s.cores[sel]
-		a := traces[sel][pos[sel]]
+		ct := cts[sel]
+		local, l2 := s.cores[sel].step(ct, ct.Ops[pos[sel]])
 		pos[sel]++
-		results[sel].Accesses++
 
-		local, memTxns := c.timeAccess(a)
 		t := clocks[sel] + local
+		memTxns := 0
+		if l2&cache.BitFilled != 0 {
+			memTxns++
+		}
+		if l2&cache.BitWriteback != 0 {
+			memTxns++
+		}
 		for k := 0; k < memTxns; k++ {
-			grant := t
-			if busFreeAt > grant {
-				grant = busFreeAt
-			}
+			grant := max(t, busFreeAt)
 			busFreeAt = grant + s.busService
 			lastGrant = sel
 			t = grant + s.busService + (s.lat.Memory - s.busService)
@@ -123,54 +124,12 @@ func (s *System) RunAll(traces []trace.Trace) []Result {
 	}
 
 	for i, c := range s.cores {
+		if cts[i] == nil {
+			continue
+		}
 		results[i].Cycles = clocks[i]
-		il1, dl1, l2 := c.Caches()
-		results[i].IL1 = diffStats(before[i].il1, il1.Stats())
-		results[i].DL1 = diffStats(before[i].dl1, dl1.Stats())
-		results[i].L2 = diffStats(before[i].l2, l2.Stats())
+		results[i].Accesses = len(cts[i].Ops)
+		results[i].IL1, results[i].DL1, results[i].L2 = c.endCompiled()
 	}
 	return results
-}
-
-// timeAccess performs the cache state updates of one access and returns the
-// core-local cycles plus the number of memory-bus transactions it needs.
-func (c *Core) timeAccess(a trace.Access) (local uint64, memTxns int) {
-	lat := c.lat
-	switch a.Kind {
-	case trace.Fetch:
-		local = lat.L1Hit
-		if !c.il1.Read(a.Addr).Hit {
-			local += lat.L2Hit
-			r := c.l2.Read(a.Addr)
-			if !r.Hit {
-				memTxns++
-			}
-			if r.Writeback {
-				memTxns++
-			}
-		}
-	case trace.Load:
-		local = lat.L1Hit
-		if !c.dl1.Read(a.Addr).Hit {
-			local += lat.L2Hit
-			r := c.l2.Read(a.Addr)
-			if !r.Hit {
-				memTxns++
-			}
-			if r.Writeback {
-				memTxns++
-			}
-		}
-	default: // Store
-		local = lat.L1Hit + lat.StoreBus
-		c.dl1.Write(a.Addr)
-		r := c.l2.Write(a.Addr)
-		if !r.Hit && r.Filled {
-			memTxns++
-		}
-		if r.Writeback {
-			memTxns++
-		}
-	}
-	return local, memTxns
 }

@@ -1,17 +1,38 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/placement"
+	"repro/internal/prng"
 	"repro/internal/trace"
 )
 
+// compileAll compiles one trace per core for System.RunAll at the paper
+// platform's 32-byte line size; a nil trace stays a nil (idle) slot.
+func compileAll(t testing.TB, trs ...trace.Trace) []*trace.Compiled {
+	t.Helper()
+	out := make([]*trace.Compiled, len(trs))
+	for i, tr := range trs {
+		if tr == nil {
+			continue
+		}
+		ct, err := trace.Compile(tr, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = ct
+	}
+	return out
+}
+
 // TestRunAllStatsArePerCall is the regression test for the cumulative-
-// stats bug: RunAll used to copy each cache's lifetime counters into its
-// Results, so a second RunAll on the same System (or any prior Core.Run)
-// double-counted accesses and misses.
+// stats bug: RunAll once copied each cache's lifetime counters into its
+// Results, so a second RunAll on the same System (or any prior run on a
+// core) double-counted accesses and misses.
 func TestRunAllStatsArePerCall(t *testing.T) {
 	sys, err := NewSystem(paperConfig(placement.RM), 2)
 	if err != nil {
@@ -22,7 +43,7 @@ func TestRunAllStatsArePerCall(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		b.Load(uint64(i*32) % (64 * 1024))
 	}
-	traces := []trace.Trace{b.Trace(), b.Trace()}
+	traces := compileAll(t, b.Trace(), b.Trace())
 
 	first := sys.RunAll(traces)
 	second := sys.RunAll(traces)
@@ -41,11 +62,15 @@ func TestRunAllStatsArePerCall(t *testing.T) {
 		}
 	}
 
-	// Interleaving a direct Core.Run must not leak into RunAll either.
-	sys.Cores()[0].Run(traces[0])
+	// Interleaving a direct single-core run must not leak into RunAll
+	// either, on the compiled path or the legacy one.
+	sys.Cores()[0].RunCompiled(traces[0])
+	sys.Cores()[1].Run(b.Trace())
 	third := sys.RunAll(traces)
-	if third[0].DL1.Accesses != 4000 {
-		t.Fatalf("RunAll after Core.Run reports %d DL1 accesses, want 4000", third[0].DL1.Accesses)
+	for i := range third {
+		if third[i].DL1.Accesses != 4000 {
+			t.Fatalf("core %d: RunAll after a direct run reports %d DL1 accesses, want 4000", i, third[i].DL1.Accesses)
+		}
 	}
 }
 
@@ -82,10 +107,81 @@ func TestLatenciesValidation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Load(uint64(i * 32))
 	}
-	res := sys.RunAll([]trace.Trace{b.Trace()})
+	res := sys.RunAll(compileAll(t, b.Trace()))
 	// 100 L1-cycle charges + 100 L2 misses at 1 memory cycle each bounds
 	// the run far below any wrapped-uint64 absurdity.
 	if res[0].Cycles == 0 || res[0].Cycles > 10000 {
 		t.Fatalf("cycle count %d implausible for Memory=1", res[0].Cycles)
+	}
+}
+
+// TestRunAllMatchesLegacyOracle is the differential test of the compiled
+// bus model: for every placement kind x replacement policy x write
+// arrangement, at 1, 2 and 4 cores with idle (nil) slots, RunAll must
+// reproduce the legacy per-access bus loop (runAllLegacy) bit for bit:
+// whole []Result, cycles, accesses and every per-level counter. Three
+// consecutive calls per system reseed between calls and alternate the idle
+// slots, so replacement-RNG state carried from one call into the next is
+// compared too.
+func TestRunAllMatchesLegacyOracle(t *testing.T) {
+	type writeSetup struct {
+		name    string
+		l1Write cache.WritePolicy
+		l1Alloc bool
+		l2Write cache.WritePolicy
+	}
+	writes := []writeSetup{
+		{"wt-noalloc/wb", cache.WriteThrough, false, cache.WriteBack},
+		{"wt-alloc/wb", cache.WriteThrough, true, cache.WriteBack},
+		{"wb/wt", cache.WriteBack, false, cache.WriteThrough},
+		{"wb/wb", cache.WriteBack, false, cache.WriteBack},
+		{"wt-noalloc/wt", cache.WriteThrough, false, cache.WriteThrough},
+	}
+	var traces []trace.Trace
+	for i := 0; i < 4; i++ {
+		traces = append(traces, mixedTrace(0xB05+uint64(i), 4000+1000*i))
+	}
+	for _, pk := range placement.Kinds() {
+		for _, rk := range []cache.ReplacementKind{cache.LRU, cache.Random, cache.FIFO, cache.PLRU} {
+			for _, ws := range writes {
+				cfg := paperConfig(pk)
+				cfg.IL1.Replacement, cfg.DL1.Replacement, cfg.L2.Replacement = rk, rk, rk
+				cfg.DL1.Write, cfg.DL1.AllocOnWrite = ws.l1Write, ws.l1Alloc
+				cfg.L2.Write = ws.l2Write
+				for _, n := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%v/%v/%s/%d-core", pk, rk, ws.name, n)
+					legacy, err := NewSystem(cfg, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compiled, err := NewSystem(cfg, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for call := 0; call < 3; call++ {
+						trs := make([]trace.Trace, n)
+						for i := range trs {
+							// Every core runs on the first call; later
+							// calls idle alternating slots (core 0 always
+							// runs on a 1-core system).
+							if call == 0 || n == 1 || (i+call)%2 == 0 {
+								trs[i] = traces[i]
+							}
+						}
+						seed := prng.Derive(0x51DE, call)
+						legacy.Reseed(seed)
+						compiled.Reseed(seed)
+						want := legacy.runAllLegacy(trs)
+						got := compiled.RunAll(compileAll(t, trs...))
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s call %d core %d: compiled %+v, legacy oracle %+v",
+									name, call, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

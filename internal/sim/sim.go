@@ -146,10 +146,15 @@ func (c *Core) Flush() {
 	c.l2.Flush()
 }
 
-// Run executes the trace to completion and returns its cycle count and
+// Run executes the trace to completion on the legacy per-access path
+// (placement hashed on every access) and returns its cycle count and
 // per-level statistics for this run only. Cache contents persist across
 // calls; callers start runs with Reseed or Flush, matching the paper's
 // run-to-completion analysis unit.
+//
+// Production replays go through RunCompiled; Run has no production caller
+// and stays as the differential oracle the sim and core tests check the
+// compiled path against.
 func (c *Core) Run(tr trace.Trace) Result {
 	il1Before, dl1Before, l2Before := c.il1.Stats(), c.dl1.Stats(), c.l2.Stats()
 	var cycles uint64

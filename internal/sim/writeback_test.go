@@ -80,14 +80,14 @@ func TestSystemSingleCoreMatchesNoContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	one.Reseed(9)
-	r1 := one.RunAll([]trace.Trace{tr})
+	r1 := one.RunAll(compileAll(t, tr))
 
 	four, err := NewSystem(paperConfig(placement.RM), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	four.Reseed(9)
-	r4 := four.RunAll([]trace.Trace{tr, nil, nil, nil})
+	r4 := four.RunAll(compileAll(t, tr, nil, nil, nil))
 
 	if r1[0].Cycles != r4[0].Cycles {
 		t.Fatalf("idle peers changed timing: %d vs %d", r1[0].Cycles, r4[0].Cycles)
@@ -109,7 +109,7 @@ func TestSystemFairness(t *testing.T) {
 		}
 		return b.Trace()
 	}
-	res := sys.RunAll([]trace.Trace{mk(0), mk(1 << 26), mk(2 << 26), mk(3 << 26)})
+	res := sys.RunAll(compileAll(t, mk(0), mk(1<<26), mk(2<<26), mk(3<<26)))
 	lo, hi := res[0].Cycles, res[0].Cycles
 	for _, r := range res[1:] {
 		if r.Cycles < lo {

@@ -98,8 +98,8 @@ func RandomizedLayout(g *prng.PRNG) Layout {
 // RandomizedLayoutFrom draws the same displacement stream as
 // RandomizedLayout but applies it to a caller-supplied base layout:
 // region bases shift by 0..16KB-32 and each scatter slot gains a
-// line-granular displacement on top of the base's. This is what
-// HWMCampaign's optional Layout override perturbs, letting the baseline
+// line-granular displacement on top of the base's. This is what a
+// baseline Request's Layout override perturbs, letting the baseline
 // explore mapping variability around a specific link map instead of the
 // default one. The result is a pure function of (base, the PRNG state),
 // so campaigns built on it stay bit-identical for any worker count.
@@ -219,20 +219,24 @@ func Synthetic(footprintBytes, sweeps, strideBytes int) Workload {
 		Description: fmt.Sprintf("synthetic vector kernel: %d KB footprint, %d sweeps, stride %d",
 			footprintBytes/1024, sweeps, strideBytes),
 		Build: func(l Layout) trace.Trace {
+			// The loop body walks perPass elements per pass so fetches
+			// interleave with data accesses as in an unrolled loop.
 			const codeLines = 4
+			const perPass = codeLines * 8
 			elems := footprintBytes / strideBytes
 			vec := l.Obj(l.Data, 0)
-			k := newKernel(name, l, sweeps*(elems+elems/8))
+			// Exact size: the initialisation sweep plus sweeps traversals,
+			// each elems data accesses and codeLines fetches per pass.
+			passes := (elems + perPass - 1) / perPass
+			k := newKernel(name, l, (sweeps+1)*(elems+passes*codeLines))
 			// Initialisation sweep: write the vector once.
-			for e := 0; e < elems; e += codeLines * 8 {
-				for j := e; j < e+codeLines*8 && j < elems; j++ {
+			for e := 0; e < elems; e += perPass {
+				for j := e; j < e+perPass && j < elems; j++ {
 					k.store(vec + uint64(j*strideBytes))
 				}
 				k.loopIter(0, codeLines)
 			}
-			// Main traversals: the loop body walks codeLines*8 elements per
-			// pass so fetches interleave with loads as in an unrolled loop.
-			perPass := codeLines * 8
+			// Main traversals.
 			for s := 0; s < sweeps; s++ {
 				for e := 0; e < elems; e += perPass {
 					for j := e; j < e+perPass && j < elems; j++ {

@@ -137,6 +137,21 @@ func TestSyntheticSweepsScaleTraceLength(t *testing.T) {
 	}
 }
 
+// TestSyntheticSizeHintExact: the synthetic kernel sizes its trace buffer
+// exactly (initialisation sweep included), so a build never grows the
+// buffer and never leaves capacity unused -- including footprints whose
+// element count is not a whole number of loop passes.
+func TestSyntheticSizeHintExact(t *testing.T) {
+	for _, c := range []struct{ bytes, sweeps, stride int }{
+		{8 * 1024, 2, 4}, {20 * 1024, 1, 4}, {160 * 1024, 4, 4}, {1000, 3, 4}, {4100, 2, 8},
+	} {
+		tr := Synthetic(c.bytes, c.sweeps, c.stride).Build(DefaultLayout())
+		if cap(tr) != len(tr) {
+			t.Errorf("Synthetic(%d, %d, %d): len %d, cap %d", c.bytes, c.sweeps, c.stride, len(tr), cap(tr))
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	if _, err := ByName("tblook01"); err != nil {
 		t.Fatal(err)
